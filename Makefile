@@ -21,10 +21,13 @@ build:
 test:
 	go test ./...
 
-# What the CI `test` job runs: build, vet, gofmt gate, tests.
+# What the CI `test` job runs: build, vet, gofmt gate, tests — the module's
+# and the benchmark harness's own (bench/e2e is a module of its own, so
+# `./...` from the root does not reach it).
 ci: lint
 	go build ./...
 	go test ./...
+	cd bench/e2e && go test ./...
 
 # What the CI `race` job runs, including the concurrency stress tests.
 race:

@@ -29,6 +29,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/gob"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -116,6 +117,12 @@ func (o *Options) maxWorkloadLog() int {
 	}
 }
 
+// buildOptions returns the reference-attribute names as the graph builder
+// takes them.
+func (o *Options) buildOptions() *xmlgraph.BuildOptions {
+	return &xmlgraph.BuildOptions{IDAttrs: o.IDAttrs, IDREFAttrs: o.IDREFAttrs, IDREFSAttrs: o.IDREFSAttrs}
+}
+
 // buildWorkers resolves Options.Parallelism to the maintenance fan-out bound.
 func (o *Options) buildWorkers() int {
 	if o == nil || o.Parallelism == 0 {
@@ -188,11 +195,7 @@ func Open(r io.Reader, opts *Options) (*Index, error) {
 	if opts == nil {
 		opts = &Options{}
 	}
-	g, err := xmlgraph.Build(r, &xmlgraph.BuildOptions{
-		IDAttrs:     opts.IDAttrs,
-		IDREFAttrs:  opts.IDREFAttrs,
-		IDREFSAttrs: opts.IDREFSAttrs,
-	})
+	g, err := xmlgraph.Build(r, opts.buildOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -653,14 +656,20 @@ func (ix *Index) AdaptTo(queries []string, minSup float64) error {
 
 // Insert appends an XML fragment under the single element matched by
 // parentQuery (a QTYPE1 path; it must match exactly one element node; "/"
-// addresses the document root, which label paths cannot reach) and
-// refreshes the index: every extent is re-derived under the current
-// required-path set — the paper leaves data updates to future work, and
-// this is the sound baseline (one pass over the data, no re-parse, no
-// re-mining). Reference attributes in the fragment may point at IDs already
-// in the document.
+// addresses the document root, which label paths cannot reach) and brings
+// the index up to date under the current required-path set. Reference
+// attributes in the fragment may point at IDs already in the document.
 //
-// The mutation and refresh run on clones of the document graph and index
+// The paper leaves data updates to future work; here a write is the paper's
+// own ΔEdges propagation (core.ApplyInsert): the fragment's edges are seeded
+// at the summary nodes that reach the parent and classified from there, so
+// the cost follows the fragment, not the document. Extents the fragment does
+// not reach stay frozen and shared with the published index, the data graph
+// shares every adjacency row the append does not touch, and the value table
+// shares its pages. The result equals re-deriving every extent from the data
+// (core.RefreshData, kept as the tests' oracle) up to summary-node numbering.
+//
+// The mutation runs on copy-on-write clones of the document graph and index
 // (node IDs are stable across the clone, so resolved positions stay valid);
 // readers serve the pre-insert state until the atomic publication, and a
 // failed insert publishes nothing.
@@ -689,19 +698,41 @@ func (ix *Index) Insert(parentQuery, fragment string) error {
 		}
 		parent = nids[0]
 	}
-	shadowG := g.Clone()
+	return ix.insertLocked(parent, parentQuery, fragment)
+}
+
+// InsertAtNode is Insert with the parent already resolved to a node id — the
+// in-module bridge the shard router uses to broadcast one insert to every
+// shard index: node ids are aligned across shards (each shard keeps the full
+// global node table), so the coordinator resolves the parent query once and
+// applies the same fragment at the same NID everywhere, exactly as WAL
+// replay re-applies a journaled insert. The parent must be a live element
+// node; like Insert, the mutation runs on shadow clones and publishes
+// atomically.
+func (ix *Index) InsertAtNode(parent xmlgraph.NID, fragment string) error {
+	ix.maintMu.Lock()
+	defer ix.maintMu.Unlock()
+	g := ix.Graph()
+	if parent < 0 || int(parent) >= g.NumNodes() {
+		return fmt.Errorf("apex: insert parent %d out of range", parent)
+	}
+	if g.Removed(parent) {
+		return fmt.Errorf("apex: insert parent %d was removed", parent)
+	}
+	return ix.insertLocked(parent, "", fragment)
+}
+
+// insertLocked is the write half of Insert and InsertAtNode; callers hold
+// maintMu.
+func (ix *Index) insertLocked(parent xmlgraph.NID, parentQuery, fragment string) error {
+	cur, dt, _ := ix.snapshot()
+	shadowG := cur.Graph().Clone()
 	shadow := cur.CloneWithGraph(shadowG)
 	ix.hook("rebuild")
-	if _, err := shadowG.AppendFragment(parent, fragment, &xmlgraph.BuildOptions{
-		IDAttrs:     ix.opts.IDAttrs,
-		IDREFAttrs:  ix.opts.IDREFAttrs,
-		IDREFSAttrs: ix.opts.IDREFSAttrs,
-	}); err != nil {
+	if err := applyInsert(shadow, shadowG, parent, fragment, ix.opts.buildOptions()); err != nil {
 		return err
 	}
-	shadow.RefreshData()
-	// The data table is rebuilt to include the new values.
-	dt, err := storage.BuildDataTable(shadowG, 0, 64)
+	dt, err := dt.Apply(shadowG, nil)
 	if err != nil {
 		return err
 	}
@@ -717,47 +748,44 @@ func (ix *Index) Insert(parentQuery, fragment string) error {
 	return nil
 }
 
-// InsertAtNode is Insert with the parent already resolved to a node id — the
-// in-module bridge the shard router uses to broadcast one insert to every
-// shard index: node ids are aligned across shards (each shard keeps the full
-// global node table), so the coordinator resolves the parent query once and
-// applies the same fragment at the same NID everywhere, exactly as WAL
-// replay re-applies a journaled insert. The parent must be a live element
-// node; like Insert, the mutation runs on shadow clones and publishes
-// atomically.
-func (ix *Index) InsertAtNode(parent xmlgraph.NID, fragment string) error {
-	ix.maintMu.Lock()
-	defer ix.maintMu.Unlock()
-	cur, _, _ := ix.snapshot()
-	g := cur.Graph()
-	if parent < 0 || int(parent) >= g.NumNodes() {
-		return fmt.Errorf("apex: insert parent %d out of range", parent)
-	}
-	if g.Removed(parent) {
-		return fmt.Errorf("apex: insert parent %d was removed", parent)
-	}
-	shadowG := g.Clone()
-	shadow := cur.CloneWithGraph(shadowG)
-	ix.hook("rebuild")
-	if _, err := shadowG.AppendFragment(parent, fragment, &xmlgraph.BuildOptions{
-		IDAttrs:     ix.opts.IDAttrs,
-		IDREFAttrs:  ix.opts.IDREFAttrs,
-		IDREFSAttrs: ix.opts.IDREFSAttrs,
-	}); err != nil {
+// applyInsert appends fragment under parent in g and maintains idx by the
+// delta — the one way an insert is applied, by the facade on its shadow
+// clones and by WAL replay on the recovering index alike, so summary-node
+// ids evolve identically in both.
+func applyInsert(idx *core.APEX, g *xmlgraph.Graph, parent xmlgraph.NID, fragment string, opts *xmlgraph.BuildOptions) error {
+	first := xmlgraph.NID(g.NumNodes())
+	if _, err := g.AppendFragment(parent, fragment, opts); err != nil {
 		return err
 	}
-	shadow.RefreshData()
-	dt, err := storage.BuildDataTable(shadowG, 0, 64)
-	if err != nil {
-		return err
-	}
-	if err := ix.journal(storage.WALRecord{
-		Op: storage.WALInsert, Parent: parent, Fragment: fragment,
-	}); err != nil {
-		return err
-	}
-	ix.publish(shadow, dt)
+	idx.ApplyInsert(parent, first)
 	return nil
+}
+
+// errNothingRemoved reports a delete whose every target was already gone.
+var errNothingRemoved = errors.New("apex: delete removed nothing")
+
+// applyDelete removes the targets' subtrees from g (targets nested inside an
+// earlier one, or already removed, are skipped) and maintains idx by the
+// delta, returning the removed nodes. Like applyInsert it is shared by the
+// facade and WAL replay.
+func applyDelete(idx *core.APEX, g *xmlgraph.Graph, targets []xmlgraph.NID) ([]xmlgraph.NID, error) {
+	var rem xmlgraph.Removal
+	for _, n := range targets {
+		if g.Removed(n) {
+			continue
+		}
+		r, err := g.RemoveSubtreeDelta(n)
+		if err != nil {
+			return nil, err
+		}
+		rem.Nodes = append(rem.Nodes, r.Nodes...)
+		rem.Edges = append(rem.Edges, r.Edges...)
+	}
+	if len(rem.Nodes) == 0 {
+		return nil, errNothingRemoved
+	}
+	idx.ApplyDelete(rem.Edges)
+	return rem.Nodes, nil
 }
 
 // DeleteNodes removes the document subtrees rooted at the given node ids —
@@ -773,45 +801,28 @@ func (ix *Index) DeleteNodes(targets []xmlgraph.NID) error {
 	}
 	ix.maintMu.Lock()
 	defer ix.maintMu.Unlock()
-	cur, _, _ := ix.snapshot()
-	shadowG := cur.Graph().Clone()
-	shadow := cur.CloneWithGraph(shadowG)
-	ix.hook("rebuild")
-	removedAny := false
-	for _, n := range targets {
-		if shadowG.Removed(n) {
-			continue
+	if err := ix.deleteLocked(targets, ""); err != nil {
+		if errors.Is(err, errNothingRemoved) {
+			return fmt.Errorf("apex: delete targets already removed")
 		}
-		if err := shadowG.RemoveSubtree(n); err != nil {
-			return err
-		}
-		removedAny = true
-	}
-	if !removedAny {
-		return fmt.Errorf("apex: delete targets already removed")
-	}
-	shadow.RefreshData()
-	dt, err := storage.BuildDataTable(shadowG, 0, 64)
-	if err != nil {
 		return err
 	}
-	if err := ix.journal(storage.WALRecord{
-		Op: storage.WALDelete, Targets: targets,
-	}); err != nil {
-		return err
-	}
-	ix.publish(shadow, dt)
 	return nil
 }
 
 // Delete removes the document subtrees matched by targetQuery (a QTYPE1
-// path; every matched element and its content disappears) and refreshes the
-// index under the current required-path set. References into the deleted
-// subtrees stop dereferencing; their attribute values remain as data.
+// path; every matched element and its content disappears) and brings the
+// index up to date under the current required-path set. References into the
+// deleted subtrees stop dereferencing; their attribute values remain as data.
 // Deleting zero nodes is an error, as is matching the document root.
 //
-// Like Insert, the removal and refresh run on shadow clones and publish
-// atomically; a failed delete publishes nothing.
+// Like Insert, a delete is applied as a delta (core.ApplyDelete): the removed
+// edges are retracted from the extents that hold them, summary nodes left
+// empty are unlinked, and everything else stays shared with the published
+// index. One case re-derives the whole index instead, decided from the data:
+// a removed subtree holding reference edges into surviving nodes
+// (core.write.rederived_total counts it). The removal runs on shadow clones
+// and publishes atomically; a failed delete publishes nothing.
 func (ix *Index) Delete(targetQuery string) error {
 	parsed, err := query.Parse(targetQuery)
 	if err != nil {
@@ -822,7 +833,7 @@ func (ix *Index) Delete(targetQuery string) error {
 	}
 	ix.maintMu.Lock()
 	defer ix.maintMu.Unlock()
-	cur, _, eval := ix.snapshot()
+	_, _, eval := ix.snapshot()
 	nids, err := eval.Evaluate(parsed)
 	if err != nil {
 		return err
@@ -830,29 +841,31 @@ func (ix *Index) Delete(targetQuery string) error {
 	if len(nids) == 0 {
 		return fmt.Errorf("apex: delete target %q matches nothing", targetQuery)
 	}
+	if err := ix.deleteLocked(nids, targetQuery); err != nil {
+		if errors.Is(err, errNothingRemoved) {
+			return fmt.Errorf("apex: delete target %q removed nothing", targetQuery)
+		}
+		return err
+	}
+	return nil
+}
+
+// deleteLocked is the write half of Delete and DeleteNodes; callers hold
+// maintMu.
+func (ix *Index) deleteLocked(targets []xmlgraph.NID, targetQuery string) error {
+	cur, dt, _ := ix.snapshot()
 	shadowG := cur.Graph().Clone()
 	shadow := cur.CloneWithGraph(shadowG)
 	ix.hook("rebuild")
-	removedAny := false
-	for _, n := range nids {
-		if shadowG.Removed(n) {
-			continue // nested inside an already-removed match
-		}
-		if err := shadowG.RemoveSubtree(n); err != nil {
-			return err
-		}
-		removedAny = true
-	}
-	if !removedAny {
-		return fmt.Errorf("apex: delete target %q removed nothing", targetQuery)
-	}
-	shadow.RefreshData()
-	dt, err := storage.BuildDataTable(shadowG, 0, 64)
+	dropped, err := applyDelete(shadow, shadowG, targets)
 	if err != nil {
 		return err
 	}
+	if dt, err = dt.Apply(shadowG, dropped); err != nil {
+		return err
+	}
 	if err := ix.journal(storage.WALRecord{
-		Op: storage.WALDelete, Targets: nids, TargetQuery: targetQuery,
+		Op: storage.WALDelete, Targets: targets, TargetQuery: targetQuery,
 	}); err != nil {
 		return err
 	}

@@ -17,14 +17,18 @@ import (
 // prefix — or fails loudly when the damage is real corruption a crash
 // cannot cause. The RNG is seeded deterministically so failures reproduce.
 func TestCrashInjection(t *testing.T) {
-	// One durable directory with a 5-op WAL tail, built once and cloned
-	// per trial.
+	// One durable directory with the whole write history as its WAL tail —
+	// inserts and deletes that replay as deltas, one delete that re-derives,
+	// one adapt — built once and cloned per trial.
 	srcDir := t.TempDir()
 	ix := openDurableDoc(t)
 	if err := ix.Persist(srcDir); err != nil {
 		t.Fatal(err)
 	}
-	applyOps(t, ix, 5)
+	applyOps(t, ix, allOps)
+	if !ix.idx.LastWrite().Rederived {
+		t.Fatal("setup: the history's last delete was meant to re-derive")
+	}
 	ix.Close()
 
 	m, err := storage.LoadManifest(srcDir)
@@ -39,13 +43,13 @@ func TestCrashInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Records != 5 {
-		t.Fatalf("setup: wal has %d records, want 5", info.Records)
+	if info.Records != allOps {
+		t.Fatalf("setup: wal has %d records, want %d", info.Records, allOps)
 	}
 
 	// Fingerprints of every reference prefix, computed once.
-	refFP := make([]string, 6)
-	for k := 0; k <= 5; k++ {
+	refFP := make([]string, allOps+1)
+	for k := 0; k <= allOps; k++ {
 		refFP[k] = referenceIndex(t, k).Fingerprint()
 	}
 
@@ -135,8 +139,8 @@ func TestCrashInjection(t *testing.T) {
 		if err != nil {
 			t.Fatalf("orphans broke recovery: %v", err)
 		}
-		if re.Fingerprint() != refFP[5] {
-			t.Fatal("recovered state differs from 5-op reference")
+		if re.Fingerprint() != refFP[allOps] {
+			t.Fatal("recovered state differs from the full-history reference")
 		}
 		// The tail replay collapsed into a checkpoint, which sweeps.
 		for _, n := range []string{gname, sname + ".tmp", segname, wname} {
@@ -156,7 +160,7 @@ func TestCrashInjection(t *testing.T) {
 			[]byte(`{"torn":`), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		recoverAndCheck(t, dir, 5)
+		recoverAndCheck(t, dir, allOps)
 	})
 
 	t.Run("corrupted-segment-fails-loudly", func(t *testing.T) {

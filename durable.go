@@ -521,16 +521,12 @@ func rebuildFromState(st *storage.RecoveredState, o Options) (*Index, error) {
 	}
 	idx.SetWorkers(o.buildWorkers())
 
-	// Replay the journaled writes exactly as the facade applied them —
-	// per-operation RefreshData/Update, so node identity evolves identically
-	// to the original process. The expensive endgame (data table, evaluator,
-	// publication) happens once after the whole tail, which is the payoff of
-	// journaling a burst instead of dumping per write.
-	buildOpts := &xmlgraph.BuildOptions{
-		IDAttrs:     o.IDAttrs,
-		IDREFAttrs:  o.IDREFAttrs,
-		IDREFSAttrs: o.IDREFSAttrs,
-	}
+	// Replay the journaled writes exactly as the facade applied them — the
+	// same per-operation delta (applyInsert/applyDelete) or Update, so
+	// summary-node identity evolves identically to the original process and
+	// a replayed record costs what the original write did. The data table,
+	// evaluator and publication happen once after the whole tail.
+	buildOpts := o.buildOptions()
 	for i, rec := range st.Tail {
 		if err := applyWALRecord(idx, g, rec, buildOpts); err != nil {
 			return nil, fmt.Errorf("apex: recover: wal record %d (%s): %w", i, rec.Op, err)
@@ -553,25 +549,10 @@ func rebuildFromState(st *storage.RecoveredState, o Options) (*Index, error) {
 func applyWALRecord(idx *core.APEX, g *xmlgraph.Graph, rec storage.WALRecord, buildOpts *xmlgraph.BuildOptions) error {
 	switch rec.Op {
 	case storage.WALInsert:
-		if _, err := g.AppendFragment(rec.Parent, rec.Fragment, buildOpts); err != nil {
-			return err
-		}
-		idx.RefreshData()
+		return applyInsert(idx, g, rec.Parent, rec.Fragment, buildOpts)
 	case storage.WALDelete:
-		removedAny := false
-		for _, n := range rec.Targets {
-			if g.Removed(n) {
-				continue
-			}
-			if err := g.RemoveSubtree(n); err != nil {
-				return err
-			}
-			removedAny = true
-		}
-		if !removedAny {
-			return errors.New("journaled delete removed nothing")
-		}
-		idx.RefreshData()
+		_, err := applyDelete(idx, g, rec.Targets)
+		return err
 	case storage.WALAdapt:
 		idx.ExtractFrequentPaths(rec.Paths, rec.MinSup)
 		idx.Update()

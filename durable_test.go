@@ -33,6 +33,9 @@ func openDurableDoc(t *testing.T) *Index {
 	return ix
 }
 
+// allOps is the length of applyOps' full history.
+const allOps = 10
+
 // applyOps drives a fixed write history through the facade; both the
 // durable index and the reference rebuild use it, so fingerprints compare
 // identical histories.
@@ -46,6 +49,22 @@ func applyOps(t *testing.T, ix *Index, upTo int) {
 		func() error {
 			return ix.Insert("/", `<extra><note>tail</note></extra>`)
 		},
+		// Past the five ops most tests drive: the cases delta maintenance
+		// treats differently, for the crash harness to replay. A fragment
+		// with a reference to a pre-existing ID, a fragment-local ID with a
+		// reference to it, and a label the document has never seen.
+		func() error {
+			return ix.Insert("//people", `<person id="p9"><name>Eve</name><watches ref="i2"/><pal ref="p9"/></person>`)
+		},
+		// A delete of reference targets (the watches attributes stop
+		// dereferencing): retracted as a delta.
+		func() error { return ix.Delete("//items/item") },
+		func() error { return ix.Insert("//items", `<item id="i7"><title>desk</title></item>`) },
+		func() error { return ix.Insert("//people", `<person id="p7"><watches ref="i7"/></person>`) },
+		// A delete of subtrees one of which holds a reference out to a
+		// surviving node (p7's watches points at i7): the data-decided
+		// re-derivation.
+		func() error { return ix.Delete("//people/person/watches") },
 	}
 	if upTo > len(ops) {
 		upTo = len(ops)

@@ -1,8 +1,9 @@
 // Updates demonstrates the data-update extension: documents grow after the
 // index is built. Fragments are appended through the public API, the index
-// refreshes its extents under the unchanged required-path set (the paper
-// leaves data updates to future work; see DESIGN.md), and queries keep
-// answering — including references from new data into old.
+// follows each one as a delta under the unchanged required-path set (the
+// paper leaves data updates to future work; see DESIGN.md, "Data updates as
+// ΔEdges"), and queries keep answering — including references from new data
+// into old.
 package main
 
 import (

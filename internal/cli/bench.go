@@ -2,9 +2,11 @@ package cli
 
 import (
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"time"
 
@@ -64,24 +66,20 @@ func RunBench(args []string, stdout io.Writer) error {
 		cfg = bench.PaperConfig()
 	}
 	env := bench.NewEnv(cfg)
-	fprintf(stdout, "apexbench: scale=%g q1=%d q2=%d q3=%d seed=%d\n\n",
-		cfg.Scale, cfg.NumQ1, cfg.NumQ2, cfg.NumQ3, cfg.Seed)
 
 	want := map[string]bool{}
 	for _, e := range strings.Split(*exps, ",") {
 		want[strings.TrimSpace(e)] = true
 	}
-	var firstErr error
+	// Experiments register here in the order they run; nothing runs until
+	// every requested name is known to be one of them.
+	type experiment struct {
+		name string
+		fn   func() error
+	}
+	var experiments []experiment
 	run := func(name string, fn func() error) {
-		if !want[name] || firstErr != nil {
-			return
-		}
-		start := time.Now()
-		if err := fn(); err != nil {
-			firstErr = err
-			return
-		}
-		fprintf(stdout, "[%s completed in %v]\n\n", name, time.Since(start).Round(time.Millisecond))
+		experiments = append(experiments, experiment{name, fn})
 	}
 
 	run("table1", func() error {
@@ -399,6 +397,28 @@ func RunBench(args []string, stdout io.Writer) error {
 		}
 		return nil
 	})
+	var firstErr error
+	valid := make([]string, len(experiments))
+	for i, e := range experiments {
+		valid[i] = e.name
+	}
+	for name := range want {
+		if !slices.Contains(valid, name) {
+			return fmt.Errorf("unknown experiment %q (valid: %s)", name, strings.Join(valid, ", "))
+		}
+	}
+	fprintf(stdout, "apexbench: scale=%g q1=%d q2=%d q3=%d seed=%d\n\n",
+		cfg.Scale, cfg.NumQ1, cfg.NumQ2, cfg.NumQ3, cfg.Seed)
+	for _, e := range experiments {
+		if !want[e.name] {
+			continue
+		}
+		start := time.Now()
+		if firstErr = e.fn(); firstErr != nil {
+			break
+		}
+		fprintf(stdout, "[%s completed in %v]\n\n", e.name, time.Since(start).Round(time.Millisecond))
+	}
 	if firstErr == nil && *metJSON != "" {
 		f, err := os.Create(*metJSON)
 		if err != nil {

@@ -182,6 +182,19 @@ func TestRunBenchSmall(t *testing.T) {
 	}
 }
 
+// A misspelt experiment used to be skipped in silence, exit 0; it must fail
+// and name the valid ones before anything runs.
+func TestRunBenchUnknownExperiment(t *testing.T) {
+	var out bytes.Buffer
+	err := RunBench([]string{"-experiments", "table1,tabel2"}, &out)
+	if err == nil || !strings.Contains(err.Error(), `"tabel2"`) || !strings.Contains(err.Error(), "table2") {
+		t.Fatalf("want an error naming the typo and the valid experiments, got %v", err)
+	}
+	if out.Len() != 0 {
+		t.Fatalf("ran before validating: %q", out.String())
+	}
+}
+
 func TestRunBenchCSV(t *testing.T) {
 	dir := t.TempDir()
 	var out bytes.Buffer

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -19,7 +18,7 @@ type APEX struct {
 	nextID int
 	run    int // update-round counter backing the visited flags
 	// workers bounds the goroutines maintenance fans out (data-graph scans
-	// in exploreAPEX0/updateNode, extent freezing). 0 or 1 keeps every pass
+	// in updateNode, extent freezing). 0 or 1 keeps every pass
 	// fully serial; parallel passes produce bit-identical structures, so the
 	// setting is pure throughput. See SetWorkers.
 	workers int
@@ -42,6 +41,25 @@ type APEX struct {
 	// statsView is the aggregate extent-statistics snapshot recorded by the
 	// most recent FreezeExtents pass; see StatsView.
 	statsView StatsView
+
+	// Per-pass scratch of the delta propagation (see propagate): scan and
+	// batch are stacks the recursion pushes and pops, ends is overwritten by
+	// every deltaEnds call. They hold no state between passes.
+	scan  []labeledPair
+	batch []xmlgraph.EdgePair
+	ends  []xmlgraph.NID
+	// touched collects the summary nodes a data delta created or changed
+	// (extent or out-edges); nil outside ApplyInsert/ApplyDelete.
+	touched map[*XNode]struct{}
+	// lastWrite records what the most recent data delta did; see WriteStats.
+	lastWrite WriteStats
+}
+
+// touch records x as changed by the running data delta.
+func (a *APEX) touch(x *XNode) {
+	if a.touched != nil {
+		a.touched[x] = struct{}{}
+	}
 }
 
 // Graph returns the underlying data graph.
@@ -112,7 +130,10 @@ func BuildAPEX0Opts(g *xmlgraph.Graph, workers int, compress bool) *APEX {
 	a.xroot = a.newXNode("xroot")
 	rootPair := xmlgraph.EdgePair{From: xmlgraph.NullNID, To: g.Root()}
 	a.xroot.Extent.Add(rootPair)
-	a.exploreAPEX0(a.xroot, []xmlgraph.EdgePair{rootPair})
+	// With an empty H_APEX every lookup misses and creates the label's
+	// HashHead entry, so the delta propagation of Figure 11 builds exactly
+	// Figure 6's one-node-per-label summary.
+	a.updateNode(a.xroot, []xmlgraph.EdgePair{rootPair}, nil, false)
 	a.FreezeExtents()
 	observeSince(mBuildNS, start)
 	a.observeStructure()
@@ -243,45 +264,6 @@ func BuildAPEX(g *xmlgraph.Graph, workload []xmlgraph.LabelPath, minSup float64)
 	a.ExtractFrequentPaths(workload, minSup)
 	a.Update()
 	return a
-}
-
-func (a *APEX) exploreAPEX0(x *XNode, delta []xmlgraph.EdgePair) {
-	byLabel := a.outgoingByLabel(deltaEnds(delta))
-	labels := make([]string, 0, len(byLabel))
-	for l := range byLabel {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	for _, l := range labels {
-		e, _ := a.head.getOrCreate(l)
-		if e.XNode == nil && e.Next == nil {
-			a.head.setEntryXNode(e, a.newXNode(l))
-		}
-		y := e.XNode
-		x.makeEdge(l, y)
-		var newDelta []xmlgraph.EdgePair
-		for _, p := range byLabel[l] {
-			if y.Extent.Add(p) {
-				newDelta = append(newDelta, p)
-			}
-		}
-		if len(newDelta) > 0 {
-			a.exploreAPEX0(y, newDelta)
-		}
-	}
-}
-
-// deltaEnds returns the distinct end nodes of the pairs.
-func deltaEnds(delta []xmlgraph.EdgePair) []xmlgraph.NID {
-	seen := make(map[xmlgraph.NID]bool, len(delta))
-	var res []xmlgraph.NID
-	for _, p := range delta {
-		if !seen[p.To] {
-			seen[p.To] = true
-			res = append(res, p.To)
-		}
-	}
-	return res
 }
 
 // outgoingByLabel groups the data edges leaving the given nodes by label —

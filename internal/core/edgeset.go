@@ -9,6 +9,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -37,14 +38,22 @@ import (
 //
 // Extents are append-only between adaptation rounds, so the index freezes
 // every extent once at each publication point (after BuildAPEX0, Update,
-// RefreshData, Decode — the moments the facade's write lock ends). Add on a
-// frozen set thaws it back to the mutable state first, which only happens
-// under that same write lock.
+// RefreshData, a data delta, Decode — the moments a maintenance pass ends).
+// A few pairs added to a frozen set wait in a small overlay (pend) that the
+// next publication merges into the sorted columns in one linear pass; only a
+// delta too large for the overlay thaws the set back to the mutable state.
+// Both happen on a maintenance pass's private copy only — a published set
+// never carries an overlay.
 type EdgeSet struct {
 	m     map[xmlgraph.EdgePair]struct{} // nil while frozen
 	pairs []xmlgraph.EdgePair            // staging, insertion order; nil while frozen
 
 	frozen bool
+	// pend holds the pairs added since the columns were built, in insertion
+	// order, disjoint from the columns and from each other. Non-empty only
+	// between an Add on a frozen set and the next publication (or the next
+	// accessor that needs whole columns, which settles it first).
+	pend []xmlgraph.EdgePair
 	// shared marks a frozen set whose columns alias another EdgeSet's (a
 	// structure-sharing clone, see CloneShared): thawing such a set must copy
 	// before mutating, because the original may still be serving readers.
@@ -74,10 +83,30 @@ func NewEdgeSet() *EdgeSet {
 	return &EdgeSet{m: make(map[xmlgraph.EdgePair]struct{})}
 }
 
+// maxPending bounds the overlay of a frozen set. Membership in the overlay
+// is a linear scan, so it stays small; a delta that outgrows it pays the
+// thaw (map rebuild, full re-sort at publication) that bulk changes always
+// paid.
+const maxPending = 64
+
 // Add inserts pair, reporting whether it was new. Adding to a frozen set
-// thaws it back to the mutable state.
+// parks the pair in the overlay, or thaws the set back to the mutable state
+// once the overlay is full.
 func (s *EdgeSet) Add(p xmlgraph.EdgePair) bool {
 	if s.frozen {
+		if s.Contains(p) {
+			return false
+		}
+		if len(s.pend) < maxPending {
+			if s.Compressed() {
+				// The merge at publication needs flat columns anyway;
+				// decoding now keeps the overlay a flat-form-only state.
+				s.unpackColumns()
+				s.shared = false
+			}
+			s.pend = append(s.pend, p)
+			return true
+		}
 		s.thaw()
 	}
 	if _, ok := s.m[p]; ok {
@@ -88,17 +117,64 @@ func (s *EdgeSet) Add(p xmlgraph.EdgePair) bool {
 	return true
 }
 
+// AddAll inserts every pair of batch and filters batch in place down to the
+// pairs that were new, in their original order.
+func (s *EdgeSet) AddAll(batch []xmlgraph.EdgePair) []xmlgraph.EdgePair {
+	k := 0
+	for _, p := range batch {
+		if s.Add(p) {
+			batch[k] = p
+			k++
+		}
+	}
+	return batch[:k]
+}
+
+// RemoveAll deletes the pairs of batch that the set holds and returns how
+// many it held. A frozen set stays frozen: its columns are rebuilt without
+// the pairs in one linear pass (as flat columns — the next publication
+// repacks a set that should be compressed), never in place, because a
+// structure-sharing clone's original may still be serving them.
+func (s *EdgeSet) RemoveAll(batch []xmlgraph.EdgePair) int {
+	dead := make(map[xmlgraph.EdgePair]struct{}, len(batch))
+	for _, p := range batch {
+		if s.Contains(p) {
+			dead[p] = struct{}{}
+		}
+	}
+	if len(dead) == 0 {
+		return 0
+	}
+	gone := func(p xmlgraph.EdgePair) bool { _, ok := dead[p]; return ok }
+	if !s.frozen {
+		for p := range dead {
+			delete(s.m, p)
+		}
+		s.pairs = slices.DeleteFunc(s.pairs, gone)
+		return len(dead)
+	}
+	s.settle()
+	if s.Compressed() {
+		s.unpackColumns()
+	}
+	s.setColumns(slices.DeleteFunc(slices.Clone(s.byFrom), gone), slices.DeleteFunc(slices.Clone(s.byTo), gone))
+	return len(dead)
+}
+
 // Freeze publishes the set in its flat columnar serving form. Idempotent; a
 // frozen set (flat or compressed) stays frozen until the next Add. The
 // publication points use FreezeAs instead, which also honors the index's
 // compression setting.
 func (s *EdgeSet) Freeze() {
-	if s == nil || s.frozen {
+	if s == nil {
+		return
+	}
+	if s.frozen {
+		s.settle()
 		return
 	}
 	s.sortColumns()
 	s.frozen = true
-	s.shared = false // freshly built columns are private
 }
 
 // PackThreshold is the minimum pair count at which FreezeAs(true) actually
@@ -121,8 +197,8 @@ func (s *EdgeSet) FreezeAs(compress bool) {
 	if !s.frozen {
 		s.sortColumns()
 		s.frozen = true
-		s.shared = false
 	}
+	s.settle()
 	switch want := compress && s.Len() >= PackThreshold; {
 	case want && !s.Compressed():
 		s.packColumns()
@@ -145,19 +221,91 @@ func (s *EdgeSet) FormStale(compress bool) bool {
 
 // sortColumns builds the flat columns from the mutable staging state.
 func (s *EdgeSet) sortColumns() {
-	s.byFrom = append([]xmlgraph.EdgePair(nil), s.pairs...)
-	sort.Slice(s.byFrom, func(i, j int) bool { return lessFromTo(s.byFrom[i], s.byFrom[j]) })
-	s.byTo = append([]xmlgraph.EdgePair(nil), s.pairs...)
-	sort.Slice(s.byTo, func(i, j int) bool { return lessToFrom(s.byTo[i], s.byTo[j]) })
-	s.ends = s.ends[:0]
-	for i, p := range s.byTo {
-		if i == 0 || p.To != s.byTo[i-1].To {
+	keys := make([]uint64, len(s.pairs))
+	byFrom := sortedPairs(s.pairs, false, keys)
+	byTo := sortedPairs(s.pairs, true, keys)
+	s.setColumns(byFrom, byTo)
+	s.m = nil
+	s.pairs = nil
+}
+
+// setColumns installs freshly built private flat columns — byFrom sorted by
+// (From, To), byTo by (To, From) — and derives the ends column and the
+// distinct-starts count from them.
+func (s *EdgeSet) setColumns(byFrom, byTo []xmlgraph.EdgePair) {
+	s.byFrom, s.byTo = byFrom, byTo
+	s.ends = make([]xmlgraph.NID, 0, len(s.ends))
+	for i, p := range byTo {
+		if i == 0 || p.To != byTo[i-1].To {
 			s.ends = append(s.ends, p.To)
 		}
 	}
-	s.starts = countStarts(s.byFrom)
-	s.m = nil
-	s.pairs = nil
+	s.starts = countStarts(byFrom)
+	s.shared = false
+}
+
+// sortedPairs returns a fresh copy of ps sorted by (From, To), or by
+// (To, From) when byTo is set, using keys (len(ps) words) as scratch. Each
+// pair is packed into one uint64 whose integer order is the pair order
+// (flipping the sign bit maps int32 order onto uint32 order, NullNID = -1
+// included), which lets the sort run on plain machine words with no
+// comparison callback.
+func sortedPairs(ps []xmlgraph.EdgePair, byTo bool, keys []uint64) []xmlgraph.EdgePair {
+	const signBit = 1 << 31
+	for i, p := range ps {
+		hi, lo := p.From, p.To
+		if byTo {
+			hi, lo = lo, hi
+		}
+		keys[i] = uint64(uint32(hi)^signBit)<<32 | uint64(uint32(lo)^signBit)
+	}
+	slices.Sort(keys)
+	out := make([]xmlgraph.EdgePair, len(ps))
+	for i, k := range keys {
+		hi, lo := xmlgraph.NID(uint32(k>>32)^signBit), xmlgraph.NID(uint32(k)^signBit)
+		if byTo {
+			hi, lo = lo, hi
+		}
+		out[i] = xmlgraph.EdgePair{From: hi, To: lo}
+	}
+	return out
+}
+
+// settle merges the overlay into the columns: the overlay is sorted (it is
+// small) and merged into each flat column in one linear pass, into fresh
+// slices (Add already decoded a compressed set; the next publication
+// repacks it). No-op for a set without an overlay, which is every
+// published set — accessors that need whole columns call it first, and on a
+// set readers can reach it never writes.
+func (s *EdgeSet) settle() {
+	if s != nil && len(s.pend) > 0 {
+		s.mergePending()
+	}
+}
+
+func (s *EdgeSet) mergePending() {
+	add := s.pend
+	s.pend = nil
+	keys := make([]uint64, len(add))
+	byFrom := mergePairs(s.byFrom, sortedPairs(add, false, keys), lessFromTo)
+	byTo := mergePairs(s.byTo, sortedPairs(add, true, keys), lessToFrom)
+	s.setColumns(byFrom, byTo)
+}
+
+// mergePairs merges two disjoint runs sorted under less into a fresh slice.
+func mergePairs(a, b []xmlgraph.EdgePair, less func(x, y xmlgraph.EdgePair) bool) []xmlgraph.EdgePair {
+	out := make([]xmlgraph.EdgePair, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if less(b[0], a[0]) {
+			out = append(out, b[0])
+			b = b[1:]
+		} else {
+			out = append(out, a[0])
+			a = a[1:]
+		}
+	}
+	out = append(out, a...)
+	return append(out, b...)
 }
 
 // countStarts counts the distinct From values of a (From, To)-sorted column.
@@ -191,8 +339,10 @@ func (s *EdgeSet) unpackColumns() {
 // after a thaw is the (From, To) sorted order. A shared flat set copies its
 // column first: the aliased original may be serving concurrent readers, and
 // the staging slice is about to be appended to. A compressed set decodes,
-// which is inherently a private copy.
+// which is inherently a private copy. Overlay pairs follow the column pairs.
 func (s *EdgeSet) thaw() {
+	pend := s.pend
+	s.pend = nil
 	switch {
 	case s.Compressed():
 		s.pairs = s.cFrom.AppendAll(make([]xmlgraph.EdgePair, 0, s.cFrom.Len()))
@@ -204,6 +354,7 @@ func (s *EdgeSet) thaw() {
 	default:
 		s.pairs = s.byFrom
 	}
+	s.pairs = append(s.pairs, pend...)
 	s.m = make(map[xmlgraph.EdgePair]struct{}, len(s.pairs))
 	for _, p := range s.pairs {
 		s.m[p] = struct{}{}
@@ -222,6 +373,7 @@ func (s *EdgeSet) CloneShared() *EdgeSet {
 	if s == nil {
 		return nil
 	}
+	s.settle()
 	if s.frozen {
 		return &EdgeSet{
 			frozen: true, shared: true,
@@ -240,8 +392,8 @@ func (s *EdgeSet) CloneShared() *EdgeSet {
 }
 
 // Frozen reports whether the set is in a columnar serving form (flat or
-// compressed).
-func (s *EdgeSet) Frozen() bool { return s != nil && s.frozen }
+// compressed) with nothing waiting in the overlay.
+func (s *EdgeSet) Frozen() bool { return s != nil && s.frozen && len(s.pend) == 0 }
 
 // Compressed reports whether the set is in the block-compressed frozen form.
 func (s *EdgeSet) Compressed() bool { return s != nil && s.cFrom != nil }
@@ -250,6 +402,7 @@ func (s *EdgeSet) Compressed() bool { return s != nil && s.cFrom != nil }
 // set — the merge kernel's block-cursor inputs. ok is false for mutable and
 // flat-frozen sets.
 func (s *EdgeSet) CompressedColumns() (byFrom, byTo *extentblock.PairColumn, ends *extentblock.NIDColumn, ok bool) {
+	s.settle()
 	if !s.Compressed() {
 		return nil, nil, nil, false
 	}
@@ -263,6 +416,7 @@ func (s *EdgeSet) CompressedColumns() (byFrom, byTo *extentblock.PairColumn, end
 // bounded by the largest extent, never the whole index). ok is false while
 // the set is mutable.
 func (s *EdgeSet) FrozenColumns() (byFrom, byTo []xmlgraph.EdgePair, ends []xmlgraph.NID, ok bool) {
+	s.settle()
 	if s == nil || !s.frozen {
 		return nil, nil, nil, false
 	}
@@ -318,6 +472,9 @@ func (s *EdgeSet) Contains(p xmlgraph.EdgePair) bool {
 		_, ok := s.m[p]
 		return ok
 	}
+	if slices.Contains(s.pend, p) {
+		return true
+	}
 	if s.Compressed() {
 		return s.cTo.Contains(p)
 	}
@@ -334,7 +491,7 @@ func (s *EdgeSet) Len() int {
 		return s.cFrom.Len()
 	}
 	if s.frozen {
-		return len(s.byFrom)
+		return len(s.byFrom) + len(s.pend)
 	}
 	return len(s.m)
 }
@@ -356,6 +513,7 @@ func (s *EdgeSet) Each(fn func(xmlgraph.EdgePair)) {
 // set decodes a fresh copy per call, so hot paths should use the block
 // cursors (CompressedColumns) instead.
 func (s *EdgeSet) Pairs() []xmlgraph.EdgePair {
+	s.settle()
 	if s == nil {
 		return nil
 	}
@@ -373,6 +531,7 @@ func (s *EdgeSet) Pairs() []xmlgraph.EdgePair {
 // otherwise. The merge-join kernel requires this order; on compressed sets
 // it consumes the block cursors instead of this decoded copy.
 func (s *EdgeSet) PairsByFrom() []xmlgraph.EdgePair {
+	s.settle()
 	if s == nil {
 		return nil
 	}
@@ -382,9 +541,7 @@ func (s *EdgeSet) PairsByFrom() []xmlgraph.EdgePair {
 	if s.frozen {
 		return s.byFrom
 	}
-	res := append([]xmlgraph.EdgePair(nil), s.pairs...)
-	sort.Slice(res, func(i, j int) bool { return lessFromTo(res[i], res[j]) })
-	return res
+	return sortedPairs(s.pairs, false, make([]uint64, len(s.pairs)))
 }
 
 // Ends returns the distinct end nids of all pairs. Flat frozen sets serve
@@ -392,6 +549,7 @@ func (s *EdgeSet) PairsByFrom() []xmlgraph.EdgePair {
 // decode a fresh ascending copy; mutable sets pay one map pass per call, in
 // first-seen order.
 func (s *EdgeSet) Ends() []xmlgraph.NID {
+	s.settle()
 	if s == nil {
 		return nil
 	}
@@ -419,6 +577,7 @@ func (s *EdgeSet) Ends() []xmlgraph.NID {
 // unconditionally, whatever the extent does next. Frozen sets (either form)
 // append in ascending order without heap allocation beyond dst's growth.
 func (s *EdgeSet) EndsAppend(dst []xmlgraph.NID) []xmlgraph.NID {
+	s.settle()
 	if s == nil {
 		return dst
 	}
@@ -435,6 +594,7 @@ func (s *EdgeSet) EndsAppend(dst []xmlgraph.NID) []xmlgraph.NID {
 // own backing store). ok is false for mutable and compressed sets, whose
 // ends are not held as one flat slice.
 func (s *EdgeSet) FrozenEnds() ([]xmlgraph.NID, bool) {
+	s.settle()
 	if s == nil || !s.frozen || s.Compressed() {
 		return nil, false
 	}
@@ -445,6 +605,7 @@ func (s *EdgeSet) FrozenEnds() ([]xmlgraph.NID, bool) {
 // decoding anything. Mutable sets return 0 — the count is only precomputed
 // at publication points.
 func (s *EdgeSet) EndsLen() int {
+	s.settle()
 	if s == nil || !s.frozen {
 		return 0
 	}
@@ -458,6 +619,7 @@ func (s *EdgeSet) EndsLen() int {
 // decoding anything, or 0 when the count is unknown (mutable sets, and
 // compressed sets loaded straight from segments).
 func (s *EdgeSet) StartsLen() int {
+	s.settle()
 	if s == nil || !s.frozen {
 		return 0
 	}
@@ -469,6 +631,7 @@ func (s *EdgeSet) StartsLen() int {
 // planner's backward join pass requires this order; on compressed sets it
 // consumes the (To, From) block cursor instead of this decoded copy.
 func (s *EdgeSet) PairsByTo() []xmlgraph.EdgePair {
+	s.settle()
 	if s == nil {
 		return nil
 	}
@@ -478,9 +641,7 @@ func (s *EdgeSet) PairsByTo() []xmlgraph.EdgePair {
 	if s.frozen {
 		return s.byTo
 	}
-	res := append([]xmlgraph.EdgePair(nil), s.pairs...)
-	sort.Slice(res, func(i, j int) bool { return lessToFrom(res[i], res[j]) })
-	return res
+	return sortedPairs(s.pairs, true, make([]uint64, len(s.pairs)))
 }
 
 // ExtentStats is the O(1) per-extent statistics record the query planner
@@ -513,6 +674,7 @@ func (s *EdgeSet) Stats() ExtentStats {
 // Sorted returns a copy of the pairs ordered by (From, To); used by tests,
 // dumps, and the serializer.
 func (s *EdgeSet) Sorted() []xmlgraph.EdgePair {
+	s.settle()
 	if s == nil {
 		return nil
 	}
@@ -528,9 +690,7 @@ func (s *EdgeSet) Sorted() []xmlgraph.EdgePair {
 		}
 		return append([]xmlgraph.EdgePair(nil), s.byFrom...)
 	}
-	res := append([]xmlgraph.EdgePair(nil), s.pairs...)
-	sort.Slice(res, func(i, j int) bool { return lessFromTo(res[i], res[j]) })
-	return res
+	return sortedPairs(s.pairs, false, make([]uint64, len(s.pairs)))
 }
 
 // FootprintBytes approximates the serving-form heap bytes of a frozen set:
@@ -538,6 +698,7 @@ func (s *EdgeSet) Sorted() []xmlgraph.EdgePair {
 // directories included for the compressed form. Mutable sets return 0 —
 // footprint is a property of the published form.
 func (s *EdgeSet) FootprintBytes() int {
+	s.settle()
 	if s == nil || !s.frozen {
 		return 0
 	}
@@ -551,6 +712,7 @@ func (s *EdgeSet) FootprintBytes() int {
 // flat form, whatever form it is actually in — the denominator of the
 // compression-ratio accounting.
 func (s *EdgeSet) FlatFootprintBytes() int {
+	s.settle()
 	if s == nil || !s.frozen {
 		return 0
 	}
@@ -560,6 +722,7 @@ func (s *EdgeSet) FlatFootprintBytes() int {
 // FootprintBlocks returns the number of packed blocks across the set's
 // three columns (0 for flat and mutable forms).
 func (s *EdgeSet) FootprintBlocks() int {
+	s.settle()
 	if !s.Compressed() {
 		return 0
 	}

@@ -248,3 +248,28 @@ func BenchmarkEdgeSetEnds(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkEdgeSetFreeze times the publication step itself: sorting a
+// mutable set's staging pairs into the two serving columns. The pairs arrive
+// in the scrambled order a delta-propagating build stages them in.
+func BenchmarkEdgeSetFreeze(b *testing.B) {
+	for _, n := range []int{100, 10000, 200000} {
+		b.Run(fmt.Sprintf("pairs=%d", n), func(b *testing.B) {
+			pairs := make([]xmlgraph.EdgePair, n)
+			for i := range pairs {
+				pairs[i] = pair(xmlgraph.NID((i*7919)%n), xmlgraph.NID((i*104729)%(n/2+1)))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				s := NewEdgeSet()
+				for _, p := range pairs {
+					s.Add(p)
+				}
+				b.StartTimer()
+				s.Freeze()
+			}
+		})
+	}
+}

@@ -27,6 +27,19 @@ var (
 	mSubtreesRecollected = metrics.Default.Counter("core.hapex.subtrees_recollected_total")
 	mSubtreesConsidered  = metrics.Default.Counter("core.hapex.subtrees_considered_total")
 
+	// Data deltas (ApplyInsert/ApplyDelete): time per write, the summary
+	// nodes an insert was seeded at, the nodes a write created or changed
+	// (against core.gapex.freeze_considered_total, a handful on a small
+	// write), the nodes a delete emptied and unlinked, and the deletes that
+	// had to re-derive the whole index because the removed subtree held
+	// reference edges into surviving nodes.
+	mInsertNS     = metrics.Default.Histogram("core.write.insert_ns")
+	mDeleteNS     = metrics.Default.Histogram("core.write.delete_ns")
+	mWriteSeeds   = metrics.Default.Counter("core.write.seeds_total")
+	mWriteTouched = metrics.Default.Counter("core.write.touched_xnodes_total")
+	mWritePruned  = metrics.Default.Counter("core.write.pruned_xnodes_total")
+	mRederived    = metrics.Default.Counter("core.write.rederived_total")
+
 	// mLookupDepth is the number of hash-tree levels a LookupAll walk
 	// visited — 1 for a plain label, more when required paths cover a
 	// longer suffix of the query.

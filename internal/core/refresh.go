@@ -8,15 +8,17 @@ import (
 
 // RefreshData re-derives every extent and every summary edge from the
 // (possibly mutated) data graph while keeping the hash tree — and hence the
-// required path set — intact. Call it after inserting data (for example
-// xmlgraph.AppendFragment): new edges, new labels, and new paths through
-// existing nodes are classified exactly as a fresh build would, because the
-// rebuild runs the same delta-propagating update against an emptied G_APEX.
+// required path set — intact: it scrubs every hash entry's node, restarts
+// from a fresh xroot and runs the delta propagation over the whole graph, so
+// new edges, new labels and new paths through existing nodes are classified
+// exactly as a fresh build under the same required paths would.
 //
-// The paper leaves data updates to future work; rebuilding extents under
-// the existing required paths is the straightforward sound choice — it
-// costs one pass over the data (like building APEX⁰) but avoids both
-// re-parsing and re-mining the workload. Abandoned summary nodes become
+// It costs one pass over the data, like building APEX⁰, and is no longer how
+// data updates are applied: ApplyInsert and ApplyDelete maintain the index at
+// a cost proportional to the delta. RefreshData stays as their oracle — the
+// differential tests hold every delta-maintained index against it — and as
+// the re-derivation ApplyDelete falls back to when a removed subtree held
+// reference edges into surviving nodes. Abandoned summary nodes become
 // unreachable and are collected by the runtime.
 func (a *APEX) RefreshData() {
 	start := time.Now()
@@ -35,18 +37,13 @@ func (a *APEX) RefreshData() {
 		}
 	}
 	scrub(a.head)
-	// Make sure every data label has a HashHead entry: mutations may have
-	// introduced labels APEX⁰ never saw (resolveChild requires them).
-	for _, l := range a.g.Labels() {
-		a.head.getOrCreate(l)
-	}
 	// Fresh root, full delta: updateNode's branch for grown extents
 	// discovers every label group from the data graph itself.
 	rootPair := xmlgraph.EdgePair{From: xmlgraph.NullNID, To: a.g.Root()}
 	a.xroot = a.newXNode("xroot")
 	a.xroot.Extent.Add(rootPair)
 	a.run++
-	a.updateNode(a.xroot, []xmlgraph.EdgePair{rootPair}, nil)
+	a.updateNode(a.xroot, []xmlgraph.EdgePair{rootPair}, nil, false)
 	a.FreezeExtents()
 	observeSince(mRefreshNS, start)
 	a.observeStructure()

@@ -3,6 +3,7 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"apex/internal/xmlgraph"
 )
@@ -14,7 +15,8 @@ import (
 // strong DataGuide and APEX pay in the Figure 15 experiment while the Index
 // Fabric does not.
 type DataTable struct {
-	pool *BufferPool
+	pager *MemPager
+	pool  *BufferPool
 	// loc[nid] packs page id (high 32 bits) and in-page offset (low 32);
 	// -1 means the node has no value.
 	loc []int64
@@ -31,9 +33,43 @@ func BuildDataTable(g *xmlgraph.Graph, pageSize, poolFrames int) (*DataTable, er
 	if poolFrames <= 0 {
 		poolFrames = 64
 	}
-	pager := NewMemPager(pageSize)
-	loc := make([]int64, g.NumNodes())
-	for i := range loc {
+	d := &DataTable{pager: NewMemPager(pageSize)}
+	if err := d.pack(g, poolFrames); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// Apply returns the data table of g given d, the table of the graph g was
+// cloned from before a write: the values of the nodes appended since are
+// packed into fresh pages behind d's, and the dropped (removed) nodes lose
+// theirs. The value pages — immutable once written — are shared with d, which
+// keeps serving its own readers; only the per-node locator is copied. The
+// new table starts with a cold buffer pool of d's capacity.
+func (d *DataTable) Apply(g *xmlgraph.Graph, dropped []xmlgraph.NID) (*DataTable, error) {
+	nd := &DataTable{
+		pager: &MemPager{pageSize: d.pager.pageSize, pages: slices.Clip(d.pager.pages)},
+		loc:   slices.Clone(d.loc),
+	}
+	for _, n := range dropped {
+		if int(n) < len(nd.loc) {
+			nd.loc[n] = noValue
+		}
+	}
+	if err := nd.pack(g, d.pool.capacity); err != nil {
+		return nil, err
+	}
+	return nd, nil
+}
+
+// pack appends the values of g's nodes from len(d.loc) upward to d's pager,
+// extends the locator over them and (re)creates the buffer pool.
+func (d *DataTable) pack(g *xmlgraph.Graph, poolFrames int) error {
+	pager := d.pager
+	first := len(d.loc)
+	d.loc = slices.Grow(d.loc, g.NumNodes()-first)[:g.NumNodes()]
+	loc := d.loc
+	for i := first; i < len(loc); i++ {
 		loc[i] = noValue
 	}
 
@@ -44,7 +80,7 @@ func BuildDataTable(g *xmlgraph.Graph, pageSize, poolFrames int) (*DataTable, er
 			cur = cur[:0]
 		}
 	}
-	for i := 0; i < g.NumNodes(); i++ {
+	for i := first; i < g.NumNodes(); i++ {
 		v := g.Value(xmlgraph.NID(i))
 		if v == "" {
 			continue
@@ -54,7 +90,7 @@ func BuildDataTable(g *xmlgraph.Graph, pageSize, poolFrames int) (*DataTable, er
 		n := binary.PutUvarint(hdr[:], uint64(len(v)))
 		need := n + len(v)
 		if need > pager.PageSize() {
-			return nil, fmt.Errorf("storage: value of node %d (%d bytes) exceeds page size %d", i, len(v), pager.PageSize())
+			return fmt.Errorf("storage: value of node %d (%d bytes) exceeds page size %d", i, len(v), pager.PageSize())
 		}
 		if len(cur)+need > pager.PageSize() {
 			flush()
@@ -66,7 +102,8 @@ func BuildDataTable(g *xmlgraph.Graph, pageSize, poolFrames int) (*DataTable, er
 		loc[i] = page<<32 | off
 	}
 	flush()
-	return &DataTable{pool: NewBufferPool(pager, poolFrames), loc: loc}, nil
+	d.pool = NewBufferPool(pager, poolFrames)
+	return nil
 }
 
 // Lookup returns the value of nid and whether it has one. Each hit costs one
@@ -101,4 +138,4 @@ func (d *DataTable) Stats() IOStats { return d.pool.Stats() }
 func (d *DataTable) ResetStats() { d.pool.ResetStats() }
 
 // NumPages returns the number of value pages.
-func (d *DataTable) NumPages() int { return d.pool.pager.NumPages() }
+func (d *DataTable) NumPages() int { return d.pager.NumPages() }

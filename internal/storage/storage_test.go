@@ -258,3 +258,46 @@ func TestBufferPoolConcurrentReads(t *testing.T) {
 		t.Fatalf("resident frames = %d, capacity 8", bp.Len())
 	}
 }
+
+// TestDataTableApply checks the incremental table against a rebuild: values
+// of appended nodes are found, dropped nodes lose theirs, the old table keeps
+// answering as before, and the old pages are shared, not copied.
+func TestDataTableApply(t *testing.T) {
+	g, err := xmlgraph.BuildString(`<r><a>one</a><b>two</b><c>three</c></r>`, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := BuildDataTable(g, 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g2 := g.Clone()
+	if _, err := g2.AppendFragment(g2.Root(), `<d>four</d>`, nil); err != nil {
+		t.Fatal(err)
+	}
+	rem, err := g2.RemoveSubtreeDelta(g2.OutWithLabel(g2.Root(), "b")[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := old.Apply(g2, rem.Nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := BuildDataTable(g2, 0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < g2.NumNodes(); i++ {
+		gv, gok := got.Lookup(xmlgraph.NID(i))
+		wv, wok := want.Lookup(xmlgraph.NID(i))
+		if gv != wv || gok != wok || got.HasValue(xmlgraph.NID(i)) != wok {
+			t.Fatalf("node %d: applied table has (%q, %v), a rebuild (%q, %v)", i, gv, gok, wv, wok)
+		}
+	}
+	if v, ok := old.Lookup(g.OutWithLabel(g.Root(), "b")[0]); !ok || v != "two" {
+		t.Fatalf("the table applied from lost a value: %q, %v", v, ok)
+	}
+	if old.NumPages() != 1 || got.NumPages() != 2 || &old.pager.pages[0][0] != &got.pager.pages[0][0] {
+		t.Fatal("value pages are not shared with the table applied from")
+	}
+}

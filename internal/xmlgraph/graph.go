@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // NID is a node identifier. NIDs are dense: they index directly into the
@@ -93,15 +95,34 @@ func (p EdgePair) String() string {
 // document (or one synthetic dataset).
 type Graph struct {
 	nodes []Node
-	out   [][]HalfEdge
-	in    [][]HalfEdge
+	out   rowTable
+	in    rowTable
 	root  NID
 
 	edgeCount   int
+	maxOrder    int32          // highest document order assigned so far; -1 when empty
 	labels      map[string]int // label -> number of edges carrying it
 	idrefLabels map[string]bool
 	ids         map[string]NID // declared ID value -> element
 	removed     []bool         // tombstones left by RemoveSubtree
+
+	// docDepth caches DocDepth()+1 (0 = not computed): every published
+	// snapshot gets a fresh evaluator that asks for it, and the whole-graph
+	// walk would be the one O(|V|) step left on a small write. The mutators
+	// keep it current, or reset it when a removal may have lowered it.
+	docDepth atomic.Int32
+
+	// Copy-on-write state, see Clone (the adjacency tables carry their own).
+	// The ids map may be shared while idsShared is set, and is copied before
+	// a write. While nodesTail is set, the node
+	// table's backing array is shared: its first nodesShared entries are
+	// visible to other graphs and never written, and the slots behind a
+	// graph's own length are claimed through the tail before an append
+	// writes them. cowMu orders the bookkeeping writes of concurrent Clones.
+	cowMu       sync.Mutex
+	idsShared   bool
+	nodesTail   *atomic.Int64
+	nodesShared int
 }
 
 // NewGraph returns an empty graph. Use AddNode/AddEdge/SetRoot to populate;
@@ -109,6 +130,7 @@ type Graph struct {
 func NewGraph() *Graph {
 	return &Graph{
 		root:        NullNID,
+		maxOrder:    -1,
 		labels:      make(map[string]int),
 		idrefLabels: make(map[string]bool),
 		ids:         make(map[string]NID),
@@ -116,7 +138,10 @@ func NewGraph() *Graph {
 }
 
 // registerID records an element identifier for ID/IDREF resolution.
-func (g *Graph) registerID(value string, node NID) { g.ids[value] = node }
+func (g *Graph) registerID(value string, node NID) {
+	g.ownIDs()
+	g.ids[value] = node
+}
 
 // LookupID returns the element declared with the given ID value.
 func (g *Graph) LookupID(value string) (NID, bool) {
@@ -129,18 +154,28 @@ func (g *Graph) LookupID(value string) (NID, bool) {
 // SetOrder.
 func (g *Graph) AddNode(kind NodeKind, tag, value string) NID {
 	id := NID(len(g.nodes))
-	g.nodes = append(g.nodes, Node{ID: id, Kind: kind, Tag: tag, Value: value, Order: int32(id)})
-	g.out = append(g.out, nil)
-	g.in = append(g.in, nil)
+	g.out.grow(len(g.nodes))
+	g.in.grow(len(g.nodes))
+	g.appendNode(Node{ID: id, Kind: kind, Tag: tag, Value: value})
+	g.SetOrder(id, int32(id))
 	g.removed = append(g.removed, false)
 	return id
 }
 
 // SetOrder overrides the document order of node id.
-func (g *Graph) SetOrder(id NID, order int32) { g.nodes[id].Order = order }
+func (g *Graph) SetOrder(id NID, order int32) {
+	g.ownNode(id)
+	g.nodes[id].Order = order
+	if order > g.maxOrder {
+		g.maxOrder = order
+	}
+}
 
 // SetValue overrides the character data of node id.
-func (g *Graph) SetValue(id NID, value string) { g.nodes[id].Value = value }
+func (g *Graph) SetValue(id NID, value string) {
+	g.ownNode(id)
+	g.nodes[id].Value = value
+}
 
 // SetRoot designates the root node of the graph.
 func (g *Graph) SetRoot(id NID) { g.root = id }
@@ -148,13 +183,23 @@ func (g *Graph) SetRoot(id NID) { g.root = id }
 // AddEdge inserts a labeled edge from -> to. Duplicate (from,label,to)
 // triples are ignored so builders can be idempotent about references.
 func (g *Graph) AddEdge(from NID, label string, to NID) {
-	for _, he := range g.out[from] {
+	for _, he := range g.out.at(from) {
 		if he.Label == label && he.To == to {
 			return
 		}
 	}
-	g.out[from] = append(g.out[from], HalfEdge{Label: label, To: to})
-	g.in[to] = append(g.in[to], HalfEdge{Label: label, To: from})
+	g.addEdgeTrusted(from, label, to)
+}
+
+// addEdgeTrusted is AddEdge without the duplicate scan, for callers that know
+// the edge is new — the decoder above all: the encoder wrote from a graph
+// whose adjacency lists were already duplicate-free, so re-checking would
+// make decode quadratic in fan-out.
+func (g *Graph) addEdgeTrusted(from NID, label string, to NID) {
+	row := g.out.edit(from)
+	*row = append(*row, HalfEdge{Label: label, To: to})
+	row = g.in.edit(to)
+	*row = append(*row, HalfEdge{Label: label, To: from})
 	g.labels[label]++
 	g.edgeCount++
 }
@@ -173,21 +218,27 @@ func (g *Graph) NumNodes() int { return len(g.nodes) }
 // NumEdges returns |E|.
 func (g *Graph) NumEdges() int { return g.edgeCount }
 
-// Node returns the node with the given nid.
-func (g *Graph) Node(id NID) Node { return g.nodes[id] }
+// Node returns the node with the given nid; a removed node has no value.
+func (g *Graph) Node(id NID) Node {
+	n := g.nodes[id]
+	if g.removed[id] {
+		n.Value = ""
+	}
+	return n
+}
 
 // Out returns the outgoing half-edges of id. The returned slice must not be
 // modified.
-func (g *Graph) Out(id NID) []HalfEdge { return g.out[id] }
+func (g *Graph) Out(id NID) []HalfEdge { return g.out.at(id) }
 
 // In returns the incoming half-edges of id. The returned slice must not be
 // modified.
-func (g *Graph) In(id NID) []HalfEdge { return g.in[id] }
+func (g *Graph) In(id NID) []HalfEdge { return g.in.at(id) }
 
 // OutWithLabel returns the endpoints of id's outgoing edges labeled label.
 func (g *Graph) OutWithLabel(id NID, label string) []NID {
 	var res []NID
-	for _, he := range g.out[id] {
+	for _, he := range g.out.at(id) {
 		if he.Label == label {
 			res = append(res, he.To)
 		}
@@ -221,8 +272,14 @@ func (g *Graph) IDREFLabels() []string {
 // LabelCount returns how many edges carry label.
 func (g *Graph) LabelCount(label string) int { return g.labels[label] }
 
-// Value returns the character data of node id ("" for non-leaves).
-func (g *Graph) Value(id NID) string { return g.nodes[id].Value }
+// Value returns the character data of node id ("" for non-leaves and for
+// removed nodes).
+func (g *Graph) Value(id NID) string {
+	if g.removed[id] {
+		return ""
+	}
+	return g.nodes[id].Value
+}
 
 // SortByDocumentOrder sorts nids in place by each node's document order,
 // the post-processing step Section 3 prescribes for query results.
@@ -234,8 +291,8 @@ func (g *Graph) SortByDocumentOrder(nids []NID) {
 
 // EachEdge calls fn for every edge in the graph, in from-nid order.
 func (g *Graph) EachEdge(fn func(Edge)) {
-	for from := range g.out {
-		for _, he := range g.out[from] {
+	for from := range g.nodes {
+		for _, he := range g.out.at(NID(from)) {
 			fn(Edge{From: NID(from), Label: he.Label, To: he.To})
 		}
 	}
@@ -278,13 +335,13 @@ func (g *Graph) Dump(maxNodes int) string {
 		n = maxNodes
 	}
 	for i := 0; i < n; i++ {
-		nd := g.nodes[i]
+		nd := g.Node(NID(i))
 		fmt.Fprintf(&b, "%d [%s %s", nd.ID, nd.Kind, nd.Tag)
 		if nd.Value != "" {
 			fmt.Fprintf(&b, " %q", nd.Value)
 		}
 		b.WriteString("]")
-		for _, he := range g.out[i] {
+		for _, he := range g.out.at(NID(i)) {
 			fmt.Fprintf(&b, " -%s->%d", he.Label, he.To)
 		}
 		b.WriteString("\n")

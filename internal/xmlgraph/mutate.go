@@ -42,15 +42,29 @@ func (g *Graph) AppendFragment(parent NID, fragment string, opts *BuildOptions) 
 	}
 	// Splice: copy nodes with an offset, preserving relative order.
 	offset := NID(len(g.nodes))
-	order := g.maxOrder() + 1
+	order := g.maxOrder + 1
 	for i := 0; i < sub.NumNodes(); i++ {
 		n := sub.Node(NID(i))
 		id := g.AddNode(n.Kind, n.Tag, n.Value)
 		g.SetOrder(id, order)
 		order++
 	}
+	// Containment edges first — the parent's edge to the fragment root, then
+	// the fragment's own — so that every spliced node's first incoming edge
+	// is its hierarchy edge even when a fragment-local reference to it leaves
+	// a node with a smaller nid.
+	root := sub.Root() + offset
+	g.AddEdge(parent, g.nodes[root].Tag, root)
+	contains := func(e Edge) bool { return e.To != sub.Root() && sub.IsHierarchyEdge(e) }
 	sub.EachEdge(func(e Edge) {
-		g.AddEdge(e.From+offset, e.Label, e.To+offset)
+		if contains(e) {
+			g.AddEdge(e.From+offset, e.Label, e.To+offset)
+		}
+	})
+	sub.EachEdge(func(e Edge) {
+		if !contains(e) {
+			g.AddEdge(e.From+offset, e.Label, e.To+offset)
+		}
 	})
 	for _, l := range sub.IDREFLabels() {
 		g.MarkIDREFLabel(l)
@@ -64,8 +78,11 @@ func (g *Graph) AppendFragment(parent NID, fragment string, opts *BuildOptions) 
 		target, _ := g.ids[p.targetID]
 		g.AddEdge(p.attrNode+offset, g.Node(target).Tag, target)
 	}
-	root := sub.Root() + offset
-	g.AddEdge(parent, g.nodes[root].Tag, root)
+	if cached := g.docDepth.Load(); cached > 0 {
+		if d := int32(g.hierarchyDepth(parent) + 1 + sub.DocDepth()); d+1 > cached {
+			g.docDepth.Store(d + 1)
+		}
+	}
 	return root, nil
 }
 
@@ -76,34 +93,60 @@ func (g *Graph) AppendFragment(parent NID, fragment string, opts *BuildOptions) 
 // dereference, like an unvalidated document). Removed nodes become inert:
 // no edges, no value, excluded from Stats. The root cannot be removed.
 func (g *Graph) RemoveSubtree(v NID) error {
+	_, err := g.RemoveSubtreeDelta(v)
+	return err
+}
+
+// Removal is what one RemoveSubtree took out of the graph: the removed
+// nodes, and every edge it detached (each once) — the delta an index or a
+// value table over the graph has to retract.
+type Removal struct {
+	Nodes []NID
+	Edges []Edge
+}
+
+// RemoveSubtreeDelta is RemoveSubtree reporting what it removed.
+func (g *Graph) RemoveSubtreeDelta(v NID) (Removal, error) {
 	if v < 0 || int(v) >= len(g.nodes) {
-		return fmt.Errorf("xmlgraph: remove: node %d out of range", v)
+		return Removal{}, fmt.Errorf("xmlgraph: remove: node %d out of range", v)
 	}
 	if v == g.root {
-		return fmt.Errorf("xmlgraph: remove: cannot remove the document root")
+		return Removal{}, fmt.Errorf("xmlgraph: remove: cannot remove the document root")
 	}
 	if g.removed[v] {
-		return fmt.Errorf("xmlgraph: remove: node %d already removed", v)
+		return Removal{}, fmt.Errorf("xmlgraph: remove: node %d already removed", v)
 	}
 	// Collect the document subtree: children are the outgoing-edge targets
 	// whose first (hierarchy) in-edge comes from the node being removed.
 	var list []NID
-	stack := []NID{v}
+	type frame struct {
+		n     NID
+		depth int
+	}
+	stack := []frame{{v, g.hierarchyDepth(v)}}
+	deepest := 0
+	detached := len(g.in.at(v)) == 0
 	g.removed[v] = true
 	for len(stack) > 0 {
-		n := stack[len(stack)-1]
+		f := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		list = append(list, n)
-		for _, he := range g.out[n] {
+		list = append(list, f.n)
+		deepest = max(deepest, f.depth)
+		for _, he := range g.out.at(f.n) {
 			c := he.To
-			if !g.removed[c] && len(g.in[c]) > 0 && g.in[c][0].To == n && g.in[c][0].Label == he.Label {
+			if in := g.in.at(c); !g.removed[c] && len(in) > 0 && in[0].To == f.n && in[0].Label == he.Label {
 				g.removed[c] = true
-				stack = append(stack, c)
+				stack = append(stack, frame{c, f.depth + 1})
 			}
 		}
 	}
+	if int32(deepest)+1 >= g.docDepth.Load() {
+		g.docDepth.Store(0) // the deepest node may be gone: recompute on demand
+	}
 	// Detach every edge with a removed endpoint, charging each edge once.
-	dropEdge := func(label string) {
+	var edges []Edge
+	dropEdge := func(from NID, label string, to NID) {
+		edges = append(edges, Edge{From: from, Label: label, To: to})
 		g.labels[label]--
 		if g.labels[label] == 0 {
 			delete(g.labels, label)
@@ -111,29 +154,47 @@ func (g *Graph) RemoveSubtree(v NID) error {
 		g.edgeCount--
 	}
 	for _, n := range list {
-		for _, he := range g.out[n] {
-			dropEdge(he.Label)
+		for _, he := range g.out.at(n) {
+			dropEdge(n, he.Label, he.To)
 			if !g.removed[he.To] {
-				g.in[he.To] = filterHalfEdges(g.in[he.To], he.Label, n)
+				row := g.in.edit(he.To)
+				*row = filterHalfEdges(*row, he.Label, n)
 			}
 		}
-		for _, he := range g.in[n] {
+		for _, he := range g.in.at(n) {
 			if !g.removed[he.To] {
-				dropEdge(he.Label)
-				g.out[he.To] = filterHalfEdges(g.out[he.To], he.Label, n)
+				dropEdge(he.To, he.Label, n)
+				row := g.out.edit(he.To)
+				*row = filterHalfEdges(*row, he.Label, n)
 			}
 		}
-		g.out[n] = nil
-		g.in[n] = nil
-		g.nodes[n].Value = ""
 	}
-	// Unregister any identifiers declared inside the subtree.
-	for val, nid := range g.ids {
-		if g.removed[nid] {
-			delete(g.ids, val)
+	// Unregister the identifiers declared inside the subtree. A declaration
+	// is an attribute node carrying the ID value under the declaring element
+	// (the builder keeps ID attributes as data), so the removed attribute
+	// values are the only candidates — no scan of every declared ID. The
+	// exception is a node with no incoming edge: a shard graph keeps every
+	// node but only its own units' edges, so there the declaring attribute
+	// of v may be out of reach, and every ID is checked as before.
+	if detached {
+		for val, el := range g.ids {
+			if g.removed[el] {
+				g.ownIDs()
+				delete(g.ids, val)
+			}
 		}
 	}
-	return nil
+	for _, n := range list {
+		if nd := g.nodes[n]; nd.Kind == KindAttribute && nd.Value != "" {
+			if el, ok := g.ids[nd.Value]; ok && g.removed[el] {
+				g.ownIDs()
+				delete(g.ids, nd.Value)
+			}
+		}
+		*g.out.slot(n) = nil
+		*g.in.slot(n) = nil
+	}
+	return Removal{Nodes: list, Edges: edges}, nil
 }
 
 // filterHalfEdges removes the (label, to) entry, preserving order — the
@@ -152,14 +213,4 @@ func filterHalfEdges(hes []HalfEdge, label string, to NID) []HalfEdge {
 // Removed reports whether node v was deleted by RemoveSubtree.
 func (g *Graph) Removed(v NID) bool {
 	return v >= 0 && int(v) < len(g.nodes) && g.removed[v]
-}
-
-func (g *Graph) maxOrder() int32 {
-	var m int32 = -1
-	for i := range g.nodes {
-		if g.nodes[i].Order > m {
-			m = g.nodes[i].Order
-		}
-	}
-	return m
 }

@@ -99,12 +99,15 @@ func (p LabelPath) Suffixes(fn func(LabelPath)) {
 // node is its document parent (builders append reference edges last), so
 // this bounds the length of any label path that avoids reference edges.
 func (g *Graph) DocDepth() int {
+	if d := g.docDepth.Load(); d > 0 {
+		return int(d) - 1
+	}
 	const unvisited, inProgress = 0, -1
 	depth := make([]int, len(g.nodes)) // root and orphans resolve to 1 internally
 	var visit func(v NID) int
 	visit = func(v NID) int {
 		switch {
-		case v == g.root || len(g.in[v]) == 0:
+		case v == g.root || len(g.in.at(v)) == 0:
 			return 1 // stored depth is 1-based to distinguish from unvisited
 		case depth[v] == inProgress:
 			return 1 // defensive: malformed first-parent cycle
@@ -112,7 +115,7 @@ func (g *Graph) DocDepth() int {
 			return depth[v]
 		}
 		depth[v] = inProgress
-		d := visit(g.in[v][0].To) + 1
+		d := visit(g.in.at(v)[0].To) + 1
 		depth[v] = d
 		return d
 	}
@@ -122,7 +125,19 @@ func (g *Graph) DocDepth() int {
 			maxd = d
 		}
 	}
+	g.docDepth.Store(int32(maxd) + 1)
 	return maxd
+}
+
+// hierarchyDepth returns the length of v's first-parent chain, DocDepth's
+// measure for a single node.
+func (g *Graph) hierarchyDepth(v NID) int {
+	d := 0
+	for v != g.root && len(g.in.at(v)) > 0 && d <= len(g.nodes) {
+		v = g.in.at(v)[0].To
+		d++
+	}
+	return d
 }
 
 // LabelPathsOf enumerates, without duplicates, the label paths of node o up
@@ -141,7 +156,7 @@ func (g *Graph) LabelPathsOf(o NID, maxLen int, fn func(LabelPath)) {
 		if len(f.path) >= maxLen {
 			return
 		}
-		for _, he := range g.out[f.node] {
+		for _, he := range g.out.at(f.node) {
 			np := f.path.Concat(he.Label)
 			key := np.String()
 			if !seen[key] {
@@ -174,7 +189,7 @@ func (g *Graph) RootPaths(maxLen int) []LabelPath {
 			memb := make(map[string]map[NID]bool)
 			var labelOrder []string
 			for _, n := range st.targets {
-				for _, he := range g.out[n] {
+				for _, he := range g.out.at(n) {
 					m, ok := memb[he.Label]
 					if !ok {
 						m = make(map[NID]bool)
@@ -206,7 +221,7 @@ func (g *Graph) EvalSimplePath(start NID, p LabelPath) []NID {
 	for _, l := range p {
 		next := make(map[NID]bool)
 		for n := range cur {
-			for _, he := range g.out[n] {
+			for _, he := range g.out.at(n) {
 				if he.Label == l {
 					next[he.To] = true
 				}
@@ -235,8 +250,8 @@ func (g *Graph) EvalPartialPath(p LabelPath) []NID {
 	// match[i] holds the nodes reachable by the prefix p[:i+1] starting at
 	// any node of the graph.
 	cur := make(map[NID]bool)
-	for from := range g.out {
-		for _, he := range g.out[from] {
+	for from := range g.nodes {
+		for _, he := range g.out.at(NID(from)) {
 			if he.Label == p[0] {
 				cur[he.To] = true
 			}
@@ -245,7 +260,7 @@ func (g *Graph) EvalPartialPath(p LabelPath) []NID {
 	for _, l := range p[1:] {
 		next := make(map[NID]bool)
 		for n := range cur {
-			for _, he := range g.out[n] {
+			for _, he := range g.out.at(n) {
 				if he.Label == l {
 					next[he.To] = true
 				}
@@ -285,7 +300,7 @@ func (g *Graph) EvalMixed(segments []LabelPath, skipRefs bool) []NID {
 		for len(stack) > 0 {
 			n := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			for _, he := range g.out[n] {
+			for _, he := range g.out.at(n) {
 				if skipRefs && strings.HasPrefix(he.Label, "@") {
 					continue
 				}
@@ -298,7 +313,7 @@ func (g *Graph) EvalMixed(segments []LabelPath, skipRefs bool) []NID {
 		// Match the segment starting at any child edge of a reached node.
 		next := make(map[NID]bool)
 		for n := range reach {
-			for _, he := range g.out[n] {
+			for _, he := range g.out.at(n) {
 				if he.Label == seg[0] {
 					next[he.To] = true
 				}
@@ -307,7 +322,7 @@ func (g *Graph) EvalMixed(segments []LabelPath, skipRefs bool) []NID {
 		for _, l := range seg[1:] {
 			step := make(map[NID]bool)
 			for n := range next {
-				for _, he := range g.out[n] {
+				for _, he := range g.out.at(n) {
 					if he.Label == l {
 						step[he.To] = true
 					}
@@ -341,8 +356,8 @@ func (g *Graph) EvalDescendantPair(a, b string, skipRefs bool) []NID {
 	skip := func(label string) bool { return skipRefs && strings.HasPrefix(label, "@") }
 	// Start set: nodes with an incoming edge labeled a.
 	start := make(map[NID]bool)
-	for from := range g.out {
-		for _, he := range g.out[from] {
+	for from := range g.nodes {
+		for _, he := range g.out.at(NID(from)) {
 			if he.Label == a {
 				start[he.To] = true
 			}
@@ -360,7 +375,7 @@ func (g *Graph) EvalDescendantPair(a, b string, skipRefs bool) []NID {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, he := range g.out[n] {
+		for _, he := range g.out.at(n) {
 			if skip(he.Label) {
 				continue
 			}
@@ -374,7 +389,7 @@ func (g *Graph) EvalDescendantPair(a, b string, skipRefs bool) []NID {
 	// labeled b.
 	resSet := make(map[NID]bool)
 	for n := range reach {
-		for _, he := range g.out[n] {
+		for _, he := range g.out.at(n) {
 			if he.Label == b {
 				resSet[he.To] = true
 			}

@@ -77,8 +77,8 @@ func (g *Graph) Encode(w io.Writer) error {
 	for i := range g.nodes {
 		intern(g.nodes[i].Tag)
 	}
-	for from := range g.out {
-		for _, he := range g.out[from] {
+	for from := range g.nodes {
+		for _, he := range g.out.at(NID(from)) {
 			intern(he.Label)
 		}
 	}
@@ -97,15 +97,15 @@ func (g *Graph) Encode(w io.Writer) error {
 		n := &g.nodes[i]
 		gw.w.WriteByte(byte(n.Kind))
 		gw.uvarint(uint64(strIdx[n.Tag]))
-		gw.str(n.Value)
+		gw.str(g.Value(n.ID))
 		gw.varint(int64(n.Order) - int64(n.ID))
 	}
 
 	// Edges, grouped by source so From delta-encodes to mostly 0 and 1.
 	gw.uvarint(uint64(g.edgeCount))
 	prevFrom := 0
-	for from := range g.out {
-		for _, he := range g.out[from] {
+	for from := range g.nodes {
+		for _, he := range g.out.at(NID(from)) {
 			gw.uvarint(uint64(from - prevFrom))
 			prevFrom = from
 			gw.uvarint(uint64(strIdx[he.Label]))
@@ -185,16 +185,6 @@ func (gr *graphReader) str() (string, error) {
 		return "", err
 	}
 	return string(b), nil
-}
-
-// addEdgeTrusted is AddEdge without the duplicate scan, for the decoder:
-// the encoder wrote from a graph whose adjacency lists were already
-// duplicate-free, so re-checking would make decode quadratic in fan-out.
-func (g *Graph) addEdgeTrusted(from NID, label string, to NID) {
-	g.out[from] = append(g.out[from], HalfEdge{Label: label, To: to})
-	g.in[to] = append(g.in[to], HalfEdge{Label: label, To: from})
-	g.labels[label]++
-	g.edgeCount++
 }
 
 // DecodeGraph reads a graph written by Encode. It consumes exactly the

@@ -5,10 +5,10 @@ package xmlgraph
 // before any reference edge — together with the edge label. The root (and
 // any node with no incoming edges) has no hierarchy parent.
 func (g *Graph) HierarchyParent(v NID) (parent NID, label string, ok bool) {
-	if v < 0 || int(v) >= len(g.in) || len(g.in[v]) == 0 {
+	if v < 0 || int(v) >= len(g.nodes) || len(g.in.at(v)) == 0 {
 		return NullNID, "", false
 	}
-	he := g.in[v][0]
+	he := g.in.at(v)[0]
 	return he.To, he.Label, true
 }
 
@@ -16,7 +16,7 @@ func (g *Graph) HierarchyParent(v NID) (parent NID, label string, ok bool) {
 // the edge RemoveSubtree follows when collecting a document subtree, and the
 // one that must stay first in the target's incoming adjacency.
 func (g *Graph) IsHierarchyEdge(e Edge) bool {
-	in := g.in[e.To]
+	in := g.in.at(e.To)
 	return len(in) > 0 && in[0].To == e.From && in[0].Label == e.Label
 }
 
@@ -37,9 +37,10 @@ func (g *Graph) IsHierarchyEdge(e Edge) bool {
 func (g *Graph) EdgeSubgraph(keep func(Edge) bool) *Graph {
 	c := &Graph{
 		nodes:       append([]Node(nil), g.nodes...),
-		out:         make([][]HalfEdge, len(g.out)),
-		in:          make([][]HalfEdge, len(g.in)),
+		out:         emptyRows(len(g.nodes)),
+		in:          emptyRows(len(g.nodes)),
 		root:        g.root,
+		maxOrder:    g.maxOrder,
 		labels:      make(map[string]int),
 		idrefLabels: make(map[string]bool, len(g.idrefLabels)),
 		ids:         make(map[string]NID, len(g.ids)),

@@ -24,3 +24,4 @@ fuzz_one FuzzBlockCodec ./internal/extentblock/
 fuzz_one FuzzWALReplay ./internal/storage/
 fuzz_one FuzzSegmentDecode ./internal/storage/
 fuzz_one FuzzShardMerge ./internal/shard/
+fuzz_one FuzzDeltaMaintenance .
